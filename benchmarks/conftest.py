@@ -22,13 +22,13 @@ import pathlib
 
 import pytest
 
+from repro.api import run_averaged
 from repro.core.configs import (
     DESIGN_NAMES,
     INPUT_SIZES,
     ExperimentConfig,
     valid_proc_counts,
 )
-from repro.core.harness import run_experiment_averaged
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -67,33 +67,31 @@ class ResultCache:
 
     def get(self, config: ExperimentConfig):
         key = (config.app, config.design, config.nprocs, config.input_size,
-               config.inject_fault)
+               config.faults.injects)
         if key not in self._cache:
-            reps = fault_reps() if config.inject_fault else 1
-            self._cache[key] = run_experiment_averaged(config,
-                                                       repetitions=reps)
+            reps = fault_reps() if config.faults.injects else 1
+            self._cache[key] = run_averaged(config, repetitions=reps)
         return self._cache[key]
 
     # -- the paper's two experiment matrices -----------------------------
-    def scaling_series(self, app: str, inject_fault: bool):
+    def scaling_series(self, app: str, faults: str):
         """Rows of Figures 5/6/7 for one app: (nprocs, design, result)."""
         rows = []
         for nprocs in scales_for(app):
             for design in DESIGN_NAMES:
                 config = ExperimentConfig(app=app, design=design,
-                                          nprocs=nprocs,
-                                          inject_fault=inject_fault)
+                                          nprocs=nprocs, faults=faults)
                 rows.append((nprocs, design, self.get(config)))
         return rows
 
-    def input_series(self, app: str, inject_fault: bool):
+    def input_series(self, app: str, faults: str):
         """Rows of Figures 8/9/10 for one app: (input, design, result)."""
         rows = []
         for input_size in INPUT_SIZES:
             for design in DESIGN_NAMES:
                 config = ExperimentConfig(app=app, design=design, nprocs=64,
                                           input_size=input_size,
-                                          inject_fault=inject_fault)
+                                          faults=faults)
                 rows.append((input_size, design, self.get(config)))
         return rows
 

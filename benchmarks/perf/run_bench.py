@@ -201,7 +201,7 @@ def bench_campaign(runs: int = 6) -> float:
     from repro.api import Campaign
 
     config = ExperimentConfig(app="minivite", design="reinit-fti",
-                              nprocs=8, nnodes=4, inject_fault=True)
+                              nprocs=8, nnodes=4, faults="single")
     t0 = time.perf_counter()
     session = Campaign.from_configs([config]).reps(runs).run()
     [result] = session.campaigns().values()
@@ -222,7 +222,7 @@ def bench_events_overhead(runs: int = 4, rounds: int = 3) -> float:
     from repro.obs.metrics import REGISTRY
 
     config = ExperimentConfig(app="minivite", design="reinit-fti",
-                              nprocs=8, nnodes=4, inject_fault=True)
+                              nprocs=8, nnodes=4, faults="single")
 
     def timed(enabled: bool) -> float:
         REGISTRY.set_enabled(enabled)
@@ -341,7 +341,7 @@ def e2e_app() -> str:
 
 def bench_end_to_end() -> tuple:
     config = ExperimentConfig(app=e2e_app(), design="restart-fti",
-                              nprocs=e2e_scale(), inject_fault=False)
+                              nprocs=e2e_scale(), faults="none")
     t0 = time.perf_counter()
     result = run_single(config)
     wall = time.perf_counter() - t0

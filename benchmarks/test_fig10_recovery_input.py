@@ -15,7 +15,7 @@ from conftest import bench_apps, write_series
 @pytest.mark.parametrize("app", bench_apps())
 def test_fig10(benchmark, results, app):
     def build_series():
-        return results.input_series(app, inject_fault=True)
+        return results.input_series(app, faults="single")
 
     rows = benchmark.pedantic(build_series, rounds=1, iterations=1)
     series = [(s, d, r.breakdown.recovery_seconds) for s, d, r in rows]

@@ -16,7 +16,7 @@ from conftest import bench_apps, write_series
 @pytest.mark.parametrize("app", bench_apps())
 def test_fig5(benchmark, results, app):
     def build_series():
-        return results.scaling_series(app, inject_fault=False)
+        return results.scaling_series(app, faults="none")
 
     rows = benchmark.pedantic(build_series, rounds=1, iterations=1)
     table = format_breakdown_series(

@@ -16,7 +16,7 @@ from conftest import bench_apps, write_series
 @pytest.mark.parametrize("app", bench_apps())
 def test_fig7(benchmark, results, app):
     def build_series():
-        return results.scaling_series(app, inject_fault=True)
+        return results.scaling_series(app, faults="single")
 
     rows = benchmark.pedantic(build_series, rounds=1, iterations=1)
     series = [(n, d, r.breakdown.recovery_seconds) for n, d, r in rows]

@@ -14,7 +14,7 @@ from conftest import bench_apps, write_series
 @pytest.mark.parametrize("app", bench_apps())
 def test_fig9(benchmark, results, app):
     def build_series():
-        return results.input_series(app, inject_fault=True)
+        return results.input_series(app, faults="single")
 
     rows = benchmark.pedantic(build_series, rounds=1, iterations=1)
     table = format_breakdown_series(

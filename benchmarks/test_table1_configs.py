@@ -13,8 +13,8 @@ from conftest import write_series
 def test_table1(benchmark):
     def build_everything():
         table = format_table1()
-        cells = scaling_matrix() + scaling_matrix(inject_fault=True)
-        cells += input_matrix() + input_matrix(inject_fault=True)
+        cells = scaling_matrix() + scaling_matrix(faults="single")
+        cells += input_matrix() + input_matrix(faults="single")
         return table, cells
 
     table, cells = benchmark(build_everything)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 # -- SCHEMA-RUN-KEY ----------------------------------------------------------
 #: Per RUN_KEY_SCHEMA version: the exact run-key payload shape minted by
 #: ``repro.core.configs.run_key``. ``top`` is the payload's literal key
-#: set; ``config`` the ExperimentConfig fields that survive into
-#: ``config_to_dict`` (dataclass fields minus the deliberately-dropped
-#: ones). Adding a config field without bumping the schema *and* adding
+#: set; ``config`` the keys of ``config_to_dict``'s output (dataclass
+#: fields minus the deliberately-dropped ones, plus the literal keys it
+#: adds). Adding a config field without bumping the schema *and* adding
 #: a manifest entry — or bumping without changing the payload — is a
 #: lint failure.
 RUN_KEY_MANIFEST: dict[int, dict[str, tuple[str, ...]]] = {
@@ -29,7 +29,9 @@ RUN_KEY_MANIFEST: dict[int, dict[str, tuple[str, ...]]] = {
     # PR 5's ``interval`` field deliberately did NOT bump it — the
     # field is dropped from the payload (the stride already lives in
     # fti.ckpt_stride), which the ``config`` tuple below records by
-    # not listing it.
+    # not listing it. 2.0 removed the legacy fault bool from the
+    # dataclass; its key stays, added by config_to_dict as
+    # ``faults.injects``.
     2: {
         "top": ("schema", "rep", "config"),
         "config": ("app", "design", "nprocs", "input_size",

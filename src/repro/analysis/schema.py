@@ -5,8 +5,10 @@ field added without a ``RUN_KEY_SCHEMA`` bump silently aliases new
 configs onto old stored results (resume skips runs it never did), and
 a bump without a payload change orphans every existing store for
 nothing. PR 3 bumped the schema for ``faults``; PR 5 deliberately did
-*not* bump it for ``interval`` (dropped from the payload). Both
-decisions are recorded in
+*not* bump it for ``interval`` (dropped from the payload), and 2.0
+removed the legacy fault bool from the dataclass while
+``config_to_dict`` still adds its key. All three decisions are
+recorded in
 :data:`repro.analysis.contracts.RUN_KEY_MANIFEST`, and this rule keeps
 ``repro/core/configs.py`` and the manifest agreeing — in both
 directions.
@@ -59,6 +61,21 @@ def _dropped_fields(function: ast.FunctionDef) -> tuple[str, ...]:
               and isinstance(node.args[0].value, str)):
             dropped.append(node.args[0].value)
     return tuple(dropped)
+
+
+def _added_fields(function: ast.FunctionDef) -> tuple[str, ...]:
+    """Keys ``config_to_dict`` writes into the payload: literal
+    ``data["x"] = ...`` assignments (a key that is also a dataclass
+    field only re-encodes it)."""
+    added = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Constant)
+                        and isinstance(target.slice.value, str)):
+                    added.append(target.slice.value)
+    return tuple(added)
 
 
 def _payload_keys(function: ast.FunctionDef) -> tuple[str, ...]:
@@ -132,9 +149,9 @@ class RunKeySchemaRule(LintRule):
 
         declared = _dataclass_fields(config_class)
         dropped = _dropped_fields(to_dict)
-        effective = tuple(name for name in declared
-                          if name not in dropped)
-        if set(effective) != set(expected["config"]):
+        effective = {name for name in declared if name not in dropped}
+        effective.update(_added_fields(to_dict))
+        if effective != set(expected["config"]):
             added = sorted(set(effective) - set(expected["config"]))
             removed = sorted(set(expected["config"]) - set(effective))
             detail = []

@@ -29,14 +29,12 @@ Quickstart::
     for label, summary in session.campaigns().items():
         print(summary.report())
 
-Everything the legacy entry points did routes through here:
-:func:`repro.core.harness.run_experiment`,
-:func:`~repro.core.harness.run_experiment_averaged` and
-:func:`repro.core.campaign.run_campaign_matrix` are deprecation shims
-over this facade with bit-identical results, and the CLI commands are
-thin adapters. Extension points (new apps, designs, scenario kinds,
-store backends, report renderers) are registries — see
-:mod:`repro.registry` and docs/API.md.
+One-off runs are :func:`run_single` and :func:`run_averaged`, and the
+CLI commands are thin adapters. (2.0 removed the 1.x shims over this
+facade; docs/API.md maps each removed name to its replacement.)
+Extension points (new apps, designs, scenario kinds, store backends,
+report renderers) are registries — see :mod:`repro.registry` and
+docs/API.md.
 """
 
 from __future__ import annotations
@@ -339,7 +337,7 @@ class Campaign:
         reps = self._state["reps"]
         if reps is not None:
             return reps
-        return DEFAULT_REPETITIONS if config.inject_fault else 1
+        return DEFAULT_REPETITIONS if config.faults.injects else 1
 
     # -- pre-flight estimation ----------------------------------------------
     def predict(self, model="analytic") -> list:
@@ -372,9 +370,9 @@ class Campaign:
         return predict_configs(self.configs(), model=model)
 
     # -- execution ----------------------------------------------------------
-    def session(self, engine: CampaignEngine = None) -> "Session":
+    def session(self) -> "Session":
         """An executable :class:`Session` over this campaign."""
-        return Session(self, engine=engine)
+        return Session(self)
 
     def stream(self):
         """Shorthand: build a session and stream its events."""
@@ -395,7 +393,7 @@ class Session:
     ``stream()`` replays nothing (the work is done).
     """
 
-    def __init__(self, campaign: Campaign, engine: CampaignEngine = None):
+    def __init__(self, campaign: Campaign):
         self.campaign = campaign
         self.configs = campaign.configs()
         state = campaign._state
@@ -406,21 +404,19 @@ class Session:
         for config, reps in self._cells:
             self._cell_index[_config_key(config)] = (len(self.units), reps)
             self.units.extend(RunUnit(config, rep) for rep in range(reps))
-        if engine is None:
-            timeout = state["timeout"]
-            if timeout == "auto":
-                from .modeling.makespan import suggest_timeout
+        timeout = state["timeout"]
+        if timeout == "auto":
+            from .modeling.makespan import suggest_timeout
 
-                timeout = suggest_timeout(self.configs)
-            engine = CampaignEngine(
-                jobs=state["jobs"], store_path=state["store"],
-                resume=state["resume"], shard=state["shard"],
-                plugins=state["plugins"], on_error=state["on_error"],
-                retries=state["retries"], timeout=timeout,
-                sim_watchdog=state["sim_watchdog"],
-                trace_phases=state["trace"],
-                profile_dir=state["profile"])
-        self.engine = engine
+            timeout = suggest_timeout(self.configs)
+        self.engine = CampaignEngine(
+            jobs=state["jobs"], store_path=state["store"],
+            resume=state["resume"], shard=state["shard"],
+            plugins=state["plugins"], on_error=state["on_error"],
+            retries=state["retries"], timeout=timeout,
+            sim_watchdog=state["sim_watchdog"],
+            trace_phases=state["trace"],
+            profile_dir=state["profile"])
         self.results = None
         self._active = None
         self._failure = None
@@ -658,12 +654,11 @@ class Session:
                               progress=progress)
 
     def campaigns(self) -> dict:
-        """``{label: CampaignResult}`` in matrix order, exactly as the
-        legacy :func:`~repro.core.campaign.run_campaign_matrix`
-        summarised: runs in repetition order, configs with zero runs in
-        this shard omitted. Labels must be unambiguous — two configs
-        ``label()`` cannot distinguish (differing only in seed, nnodes
-        or fti) raise rather than silently overwrite each other's row.
+        """``{label: CampaignResult}`` in matrix order: runs in
+        repetition order, configs with zero runs in this shard omitted.
+        Labels must be unambiguous — two configs ``label()`` cannot
+        distinguish (differing only in seed, nnodes or fti) raise
+        rather than silently overwrite each other's row.
         """
         from .core.campaign import CampaignResult
 
@@ -686,10 +681,9 @@ class Session:
 
 # -- campaign-mode validation ------------------------------------------------
 def check_campaign(configs, runs: int) -> None:
-    """The distribution-campaign prerequisites shared by the legacy
-    :func:`~repro.core.campaign.run_campaign_matrix` and the CLI
-    ``campaign`` adapter: at least two runs per cell, fault-injecting
-    configs only, and unambiguous labels."""
+    """The distribution-campaign prerequisites the CLI ``campaign``
+    adapter checks before launching: at least two runs per cell,
+    fault-injecting configs only, and unambiguous labels."""
     configs = list(configs)
     if not configs:
         raise ConfigurationError("campaign matrix is empty")
@@ -698,7 +692,7 @@ def check_campaign(configs, runs: int) -> None:
             "a campaign needs at least two runs per cell (distributions "
             "from one sample would report std=0.0)")
     for config in configs:
-        if not config.inject_fault:
+        if not config.faults.injects:
             raise ConfigurationError(
                 "campaigns need a fault-injecting scenario (clean runs "
                 "are deterministic; one run suffices)")
@@ -712,15 +706,14 @@ def check_campaign(configs, runs: int) -> None:
 
 # -- one-config conveniences -------------------------------------------------
 def run_single(config: ExperimentConfig):
-    """One repetition (rep 0) of one configuration — the facade's form
-    of the legacy ``run_experiment``."""
+    """One repetition (rep 0) of one configuration."""
     session = Campaign.from_configs([config]).reps(1).session()
     return session.run().run_results(config)[0]
 
 
 def run_averaged(config: ExperimentConfig, repetitions=None):
-    """The paper's averaged repetitions for one configuration — the
-    facade's form of the legacy ``run_experiment_averaged``."""
+    """The paper's averaged repetitions for one configuration
+    (deterministic no-fault configs collapse to one run)."""
     session = Campaign.from_configs([config]).reps(repetitions).session()
     return session.run().averaged(config)
 

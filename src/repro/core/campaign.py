@@ -6,17 +6,14 @@ distribution of recovery time and total time — useful for studying how
 sensitive a design is to *where* the failure lands (early vs late in
 the checkpoint stride, victim rank placement).
 
-Execution is delegated to :mod:`repro.core.engine`, so any campaign can
-fan out across worker processes (``jobs``), persist completed runs to a
-resumable store (``store_path``/``resume``) and restrict itself to one
-shard of the matrix (``shard``) — with summaries bit-identical to the
-serial path in every mode.
-
-``run_campaign_matrix`` / ``run_campaign`` are **deprecation shims**
-over the :mod:`repro.api` facade (build a
-:class:`repro.api.Campaign`, call :meth:`~repro.api.Session.campaigns`)
-with bit-identical summaries; the distribution classes here remain the
-canonical result types.
+Campaigns are built and run through the :mod:`repro.api` facade
+(:class:`repro.api.Campaign`, then :meth:`~repro.api.Session.campaigns`),
+which executes through :mod:`repro.core.engine`: any campaign can fan
+out across worker processes (``.jobs``), persist completed runs to a
+resumable store (``.store``/``.resume``) and restrict itself to one
+shard of the matrix (``.shard``) — with summaries bit-identical to the
+serial path in every mode. The distribution classes here are its
+result types.
 """
 
 from __future__ import annotations
@@ -24,11 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
-from .configs import ExperimentConfig, config_from_dict
-from .engine import CampaignEngine
+from .configs import config_from_dict
 from ..errors import ConfigurationError
 
 
@@ -121,65 +116,6 @@ class CampaignResult:
                  % (self.faults_per_run, self.node_fault_count()),
                  "  verified: %s" % self.all_verified]
         return "\n".join(lines)
-
-
-def run_campaign_matrix(configs, runs: int = 20, jobs: int = 1,
-                        store_path=None, resume: bool = False,
-                        shard=None, engine: CampaignEngine = None) -> dict:
-    """Sweep ``configs × runs`` and summarise per configuration.
-
-    Returns ``{label: CampaignResult}`` in matrix order, with each
-    result's runs in repetition order — the exact order (and therefore
-    the exact floating-point sums) the serial path produces, whatever
-    ``jobs``/``shard``/``resume`` were used. Sharded invocations only
-    include configurations that had at least one run in the shard.
-
-    .. deprecated:: 1.1
-       Shim over :class:`repro.api.Campaign` /
-       :meth:`repro.api.Session.campaigns` (bit-identical summaries).
-    """
-    warnings.warn(
-        "run_campaign_matrix is deprecated; use repro.api.Campaign "
-        "(see docs/API.md)", DeprecationWarning, stacklevel=2)
-    return _campaign_matrix_impl(configs, runs, jobs, store_path,
-                                 resume, shard, engine)
-
-
-def _campaign_matrix_impl(configs, runs, jobs, store_path, resume,
-                          shard, engine) -> dict:
-    from ..api import Campaign, check_campaign
-
-    configs = list(configs)
-    check_campaign(configs, runs)
-    if engine is not None and (jobs != 1 or store_path is not None
-                               or resume or shard is not None):
-        raise ConfigurationError(
-            "pass execution options either via engine= or as keyword "
-            "arguments, not both (the keywords would be silently "
-            "ignored)")
-    campaign = (Campaign.from_configs(configs).reps(runs).jobs(jobs)
-                .store(store_path).resume(resume).shard(shard))
-    return campaign.session(engine=engine).run().campaigns()
-
-
-def run_campaign(config: ExperimentConfig, runs: int = 20, jobs: int = 1,
-                 store_path=None, resume: bool = False,
-                 shard=None) -> CampaignResult:
-    """Run ``runs`` seeded repetitions of a fault-injected configuration.
-
-    .. deprecated:: 1.1
-       Shim over :class:`repro.api.Campaign` (bit-identical summaries).
-    """
-    # own warning (not the matrix shim's) so the attribution points at
-    # the function the caller actually used
-    warnings.warn(
-        "run_campaign is deprecated; use repro.api.Campaign "
-        "(see docs/API.md)", DeprecationWarning, stacklevel=2)
-    summaries = _campaign_matrix_impl([config], runs, jobs, store_path,
-                                      resume, shard, engine=None)
-    # a shard that selects zero units already raised inside the engine,
-    # so the single config's label is always present
-    return summaries[config.label()]
 
 
 def campaign_results_from_records(records: dict) -> dict:

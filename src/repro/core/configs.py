@@ -73,12 +73,10 @@ class ExperimentConfig:
     """One cell of the paper's evaluation matrix.
 
     The failure regime is a first-class :class:`FaultScenario` in
-    ``faults``; ``inject_fault`` survives as the legacy shorthand for
-    the paper's single-SIGTERM scenario and is kept in sync (it is
-    always ``faults.injects`` after construction; passing a bool that
-    contradicts the scenario raises). ``faults`` accepts a
+    ``faults`` (default: no faults). It accepts a
     :class:`FaultScenario`, a serialized scenario dict, or a CLI spec
-    string like ``"independent:3:node=1"``.
+    string like ``"independent:3:node=1"``; the paper's single SIGTERM
+    is ``faults="single"``.
 
     The checkpoint interval has one canonical home —
     ``fti.ckpt_stride`` — and ``interval`` is the config-level way to
@@ -96,9 +94,6 @@ class ExperimentConfig:
     design: str
     nprocs: int = 64
     input_size: str = "small"
-    #: tri-state at construction (None = derive from ``faults``);
-    #: always a bool equal to ``faults.injects`` afterwards
-    inject_fault: bool | None = None
     seed: int = 0
     fti: FtiConfig = field(default_factory=FtiConfig)
     nnodes: int = NNODES
@@ -131,19 +126,12 @@ class ExperimentConfig:
         elif isinstance(faults, dict):
             faults = FaultScenario.from_dict(faults)
         if faults is None:
-            faults = (FaultScenario.single() if self.inject_fault
-                      else FaultScenario.none())
+            faults = FaultScenario.none()
         elif not isinstance(faults, FaultScenario):
             raise ConfigurationError(
                 "faults must be a FaultScenario, scenario dict or spec "
                 "string (got %r)" % (faults,))
-        if self.inject_fault is not None \
-                and bool(self.inject_fault) != faults.injects:
-            raise ConfigurationError(
-                "inject_fault=%s contradicts the %r fault scenario; "
-                "drop one of the two" % (self.inject_fault, faults.kind))
         object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "inject_fault", faults.injects)
         self._resolve_interval()
 
     def _resolve_interval(self) -> None:
@@ -180,7 +168,7 @@ class ExperimentConfig:
 
     def with_faults(self, faults) -> "ExperimentConfig":
         """A copy running under a different fault scenario."""
-        return replace(self, faults=faults, inject_fault=None)
+        return replace(self, faults=faults)
 
     def with_interval(self, interval) -> "ExperimentConfig":
         """A copy checkpointing at a different interval (int or
@@ -203,7 +191,7 @@ class ExperimentConfig:
                                                  self.input_size)
 
     def label(self) -> str:
-        if not self.inject_fault:
+        if not self.faults.injects:
             suffix = ""
         elif self.faults.kind == "single":
             suffix = "/fault"  # the legacy label, kept stable
@@ -231,10 +219,13 @@ def config_to_dict(config: "ExperimentConfig") -> dict:
     equals ``fti.ckpt_stride`` (which *is* in the payload), so keeping
     it out makes the legacy implicit interval, ``interval=N`` and a
     resolved ``interval="auto"`` map to the same run keys — and legacy
-    payloads without the key round-trip unchanged.
+    payloads without the key round-trip unchanged. ``inject_fault`` is
+    added: the 1.x config field is gone, but schema-2 payloads (and so
+    every stored run key) carry it as ``faults.injects``.
     """
     data = dataclasses.asdict(config)
     del data["interval"]
+    data["inject_fault"] = config.faults.injects
     # route faults through its own to_dict: fields added to FaultScenario
     # after schema 2 serialize only when non-default, so legacy payloads
     # (and their run keys) stay byte-identical
@@ -243,18 +234,31 @@ def config_to_dict(config: "ExperimentConfig") -> dict:
 
 
 def config_from_dict(data: dict) -> "ExperimentConfig":
-    """Rebuild an :class:`ExperimentConfig` from `config_to_dict` output."""
+    """Rebuild an :class:`ExperimentConfig` from `config_to_dict` output.
+
+    Also reads schema-1 payloads, which carry the legacy
+    ``inject_fault`` bool and no ``faults``: the scenario is derived
+    from the bool. When both are present they must agree.
+    """
     data = dict(data)
     fti = data.pop("fti", None)
+    inject_fault = data.pop("inject_fault", None)
     unknown = set(data) - {f.name for f in
                            dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(
             "config dict has unknown fields %s" % sorted(unknown))
-    # `faults` may be a serialized dict (or absent, for legacy payloads);
-    # __post_init__ normalises either into a FaultScenario
-    return ExperimentConfig(
+    if data.get("faults") is None and inject_fault:
+        data["faults"] = FaultScenario.single()
+    # `faults` may be a serialized dict; __post_init__ normalises it
+    config = ExperimentConfig(
         fti=FtiConfig(**fti) if fti is not None else FtiConfig(), **data)
+    if inject_fault is not None \
+            and bool(inject_fault) != config.faults.injects:
+        raise ConfigurationError(
+            "inject_fault=%s contradicts the %r fault scenario; "
+            "drop one of the two" % (inject_fault, config.faults.kind))
+    return config
 
 
 def run_key(config: "ExperimentConfig", rep: int) -> str:
@@ -304,7 +308,7 @@ def valid_proc_counts(app: str) -> tuple:
     return TABLE1_BY_APP[app].nprocs
 
 
-def scaling_matrix(designs=DESIGN_NAMES, inject_fault: bool = False):
+def scaling_matrix(designs=DESIGN_NAMES, faults=None):
     """Every (app, design, nprocs) cell of Figures 5-7 (small input)."""
     cells = []
     for row in TABLE1:
@@ -312,11 +316,11 @@ def scaling_matrix(designs=DESIGN_NAMES, inject_fault: bool = False):
             for design in designs:
                 cells.append(ExperimentConfig(
                     app=row.app, design=design, nprocs=nprocs,
-                    input_size="small", inject_fault=inject_fault))
+                    input_size="small", faults=faults))
     return cells
 
 
-def input_matrix(designs=DESIGN_NAMES, inject_fault: bool = False):
+def input_matrix(designs=DESIGN_NAMES, faults=None):
     """Every (app, design, input) cell of Figures 8-10 (64 processes)."""
     cells = []
     for row in TABLE1:
@@ -324,5 +328,5 @@ def input_matrix(designs=DESIGN_NAMES, inject_fault: bool = False):
             for design in designs:
                 cells.append(ExperimentConfig(
                     app=row.app, design=design, nprocs=64,
-                    input_size=input_size, inject_fault=inject_fault))
+                    input_size=input_size, faults=faults))
     return cells

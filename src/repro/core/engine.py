@@ -207,20 +207,34 @@ def shard_units(units, k: int, n: int):
     return list(units)[k - 1::n]
 
 
+def run_config(config, plan, label: str, app=None) -> RunResult:
+    """Run ``config``'s app under its design on a fresh cluster, with
+    the given fault ``plan``; ``app`` defaults to a fresh
+    ``config.make_app()``.
+
+    The one build-and-run sequence behind :func:`execute_unit` and the
+    explorer's probe runs.
+    """
+    from .designs import DESIGNS
+    from .harness import build_cluster
+
+    design = DESIGNS[config.design](build_cluster(config))
+    if app is None:
+        app = config.make_app()
+    return design.run_job(app, config.fti, plan, label=label)
+
+
 def execute_unit(unit: RunUnit) -> RunResult:
     """Run one unit exactly as the serial harness would.
 
     This is the single execution path: the serial loop, the pool
-    workers, and ``run_experiment``-style one-offs all come through
-    here, which is what makes the parallel/serial equivalence a
-    structural property instead of a test-only promise.
+    workers, and :func:`repro.api.run_single` one-offs all come
+    through here, which is what makes the parallel/serial equivalence
+    a structural property instead of a test-only promise.
     """
-    from .designs import DESIGNS
-    from .harness import build_cluster, make_fault_plan
+    from .harness import make_fault_plan
 
     config = unit.config
-    cluster = build_cluster(config)
-    design = DESIGNS[config.design](cluster)
     app = config.make_app()
     plan = make_fault_plan(config, app, unit.rep)
     # phase capture rides the plan's hook slot; consulting sys.modules
@@ -228,7 +242,7 @@ def execute_unit(unit: RunUnit) -> RunResult:
     trace_mod = sys.modules.get("repro.obs.trace")
     if trace_mod is not None:
         trace_mod.attach_phase_hook(plan)
-    return design.run_job(app, config.fti, plan, label=config.label())
+    return run_config(config, plan, config.label(), app=app)
 
 
 def _observed_execute(unit: RunUnit, trace: bool, profile_dir, attempt: int):

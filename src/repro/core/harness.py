@@ -7,31 +7,20 @@ exact; with faults, each repetition draws its (rank, iteration) from a
 distinct seed.
 
 Execution itself lives in :func:`repro.core.engine.execute_unit` — the
-single run path shared with parallel/sharded campaigns — while this
-module keeps the seed-derivation and averaging conventions.
-
-``run_experiment`` / ``run_experiment_averaged`` are **deprecation
-shims** over the :mod:`repro.api` facade: they produce bit-identical
-results (guarded by the determinism pins in
-``tests/data/determinism_seed.json``) and will keep working, but new
-code should build a :class:`repro.api.Campaign` instead.
+single run path shared with parallel/sharded campaigns — and callers
+reach it through the :mod:`repro.api` facade (:func:`~repro.api.run_single`,
+:func:`~repro.api.run_averaged`, :class:`~repro.api.Campaign`); this
+module keeps the cluster, seed-derivation and averaging conventions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from .breakdown import RunResult, TimeBreakdown
+from .breakdown import TimeBreakdown
 from .configs import ExperimentConfig
 from ..cluster.machine import Cluster
 from ..faults.plans import FaultPlan
-
-
-def _deprecated(legacy: str, modern: str) -> None:
-    warnings.warn(
-        "%s is deprecated; use %s (see docs/API.md)" % (legacy, modern),
-        DeprecationWarning, stacklevel=3)
 
 
 def build_cluster(config: ExperimentConfig) -> Cluster:
@@ -63,23 +52,6 @@ def make_fault_plan(config: ExperimentConfig, app, rep: int) -> FaultPlan:
         seed=seed, nnodes=config.nnodes)
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Run one repetition of one configuration.
-
-    A single run is repetition 0 by definition, so this is bit-identical
-    to ``run_experiment_averaged(config, repetitions=1).runs[0]``; the
-    config's ``seed`` enters only through the fault-seed derivation, not
-    as a repetition index.
-
-    .. deprecated:: 1.1
-       Shim over :func:`repro.api.run_single` (bit-identical).
-    """
-    from ..api import run_single
-
-    _deprecated("run_experiment", "repro.api.run_single / Campaign")
-    return run_single(config)
-
-
 @dataclass
 class AveragedResult:
     """Mean breakdown over repetitions plus per-rep detail."""
@@ -96,21 +68,3 @@ class AveragedResult:
     @property
     def recovery_seconds(self) -> float:
         return self.breakdown.recovery_seconds
-
-
-def run_experiment_averaged(config: ExperimentConfig,
-                            repetitions: int | None = None) -> AveragedResult:
-    """Run a configuration the paper's five times and average.
-
-    Deterministic (no-fault) configurations collapse to one run since
-    every repetition would be bit-identical.
-
-    .. deprecated:: 1.1
-       Shim over :func:`repro.api.run_averaged` (bit-identical: same
-       units, same execution path, same averaging order).
-    """
-    from ..api import run_averaged
-
-    _deprecated("run_experiment_averaged",
-                "repro.api.run_averaged / Campaign")
-    return run_averaged(config, repetitions)

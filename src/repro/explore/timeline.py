@@ -202,17 +202,12 @@ def probe_timeline(config, prefix_events=()):
     events appear in the timeline; an empty prefix probes the clean run.
     Returns ``(timeline, run_result)``.
     """
-    from ..core.designs import DESIGNS
-    from ..core.harness import build_cluster
+    from ..core.engine import run_config
     from ..faults.plans import TimedFaultPlan
 
     recorder = PhaseRecorder()
     plan = TimedFaultPlan(events=tuple(prefix_events), phase_hook=recorder)
-    cluster = build_cluster(config)
-    design = DESIGNS[config.design](cluster)
-    app = config.make_app()
-    result = design.run_job(app, config.fti, plan,
-                            label=config.label() + "/probe")
+    result = run_config(config, plan, config.label() + "/probe")
     return PhaseTimeline.build(recorder), result
 
 

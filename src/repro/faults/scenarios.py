@@ -37,8 +37,8 @@ Built-in kinds:
 ``single``
     The paper's injection: one SIGTERM at a uniformly random
     ``(rank, iteration)``. Draws are bit-identical to the historical
-    :meth:`FaultPlan.single_random` path, so every legacy
-    ``inject_fault=True`` result is reproduced exactly.
+    :meth:`FaultPlan.single_random` path, so every paper-era
+    single-fault result is reproduced exactly.
 ``independent``
     ``count`` independent kills at distinct uniformly random
     ``(rank, iteration)`` coordinates; the first ``node_count`` of them
@@ -342,8 +342,8 @@ class NoneKind(ScenarioKind):
 @SCENARIOS.register("single")
 class SingleKind(ScenarioKind):
     """The paper's single SIGTERM; draws delegate to the historical
-    :meth:`FaultPlan.single_random` path so every legacy
-    ``inject_fault=True`` result stays bit-identical."""
+    :meth:`FaultPlan.single_random` path so every paper-era
+    single-fault result stays bit-identical."""
 
     uses = frozenset({"min_iteration"})
 

@@ -186,7 +186,7 @@ def predict(config, model="analytic") -> MakespanPrediction:
         level=config.fti.level, stride=min(config.fti.ckpt_stride,
                                            app_obj.niters),
         expected_failures=config.faults.expected_events(app_obj.niters)
-        if config.inject_fault else 0.0,
+        if config.faults.injects else 0.0,
         model=model, app_obj=app_obj)
 
 

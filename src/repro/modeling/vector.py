@@ -316,7 +316,7 @@ def predict_configs(configs, model="analytic") -> list:
                 design=config.design)
             ckpt_memo[cost_key] = ckpt_cost
         expected = config.faults.expected_events(niters) \
-            if config.inject_fault else 0.0
+            if config.faults.injects else 0.0
         if expected < 0:
             raise ConfigurationError("expected failures must be >= 0")
         read = repair = 0.0

@@ -1,4 +1,4 @@
-"""Tripping fixture: SCHEMA-RUN-KEY (field added, no bump)."""
+"""Tripping fixture: SCHEMA-RUN-KEY (field and key added, no bump)."""
 import dataclasses
 
 RUN_KEY_SCHEMA = 2
@@ -10,7 +10,6 @@ class ExperimentConfig:
     design: str
     nprocs: int
     input_size: str
-    inject_fault: bool
     seed: int
     fti: object
     nnodes: int
@@ -22,6 +21,8 @@ class ExperimentConfig:
 def config_to_dict(config):
     data = dataclasses.asdict(config)
     del data["interval"]
+    data["inject_fault"] = bool(config.faults)
+    data["extra_key"] = config.nprocs * 2
     return data
 
 

@@ -10,7 +10,6 @@ class ExperimentConfig:
     design: str
     nprocs: int
     input_size: str
-    inject_fault: bool
     seed: int
     fti: object
     nnodes: int
@@ -21,6 +20,7 @@ class ExperimentConfig:
 def config_to_dict(config):
     data = dataclasses.asdict(config)
     del data["interval"]
+    data["inject_fault"] = bool(config.faults)
     return data
 
 

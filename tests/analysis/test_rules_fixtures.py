@@ -101,6 +101,10 @@ def test_schema_bad_names_the_new_field():
     [finding] = [f for f in report.findings
                  if f.rule == "SCHEMA-RUN-KEY"]
     assert "extra_knob" in finding.message
+    # a key config_to_dict adds counts as payload too
+    assert "extra_key" in finding.message
+    # ...and the legacy key it adds for the manifest is not reported
+    assert "inject_fault" not in finding.message
     assert "bump" in finding.message.lower()
 
 

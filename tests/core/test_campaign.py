@@ -2,20 +2,24 @@
 
 import pytest
 
-from repro.core.campaign import (
-    CampaignResult,
-    DistributionSummary,
-    run_campaign,
-)
+from repro.api import Campaign, check_campaign
+from repro.core.campaign import CampaignResult, DistributionSummary
 from repro.core.configs import ExperimentConfig
 from repro.errors import ConfigurationError
 
 
 def small_config(**kwargs):
     defaults = dict(app="minivite", design="reinit-fti", nprocs=8,
-                    nnodes=4, inject_fault=True)
+                    nnodes=4, faults="single")
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def campaign_result(config, runs):
+    """One config's distribution campaign through the facade."""
+    check_campaign([config], runs)
+    session = Campaign.from_configs([config]).reps(runs).run()
+    return session.campaigns()[config.label()]
 
 
 def test_distribution_summary_basics():
@@ -46,7 +50,7 @@ def test_distribution_summary_single_sample():
 
 
 def test_campaign_runs_and_verifies():
-    result = run_campaign(small_config(), runs=5)
+    result = campaign_result(small_config(), runs=5)
     assert len(result.runs) == 5
     assert result.all_verified
     assert result.recovery.count == 5
@@ -55,19 +59,19 @@ def test_campaign_runs_and_verifies():
 
 
 def test_campaign_victims_are_varied():
-    result = run_campaign(small_config(), runs=8)
+    result = campaign_result(small_config(), runs=8)
     assert len(set(result.victims())) > 1
 
 
 def test_campaign_requires_fault_injection():
     with pytest.raises(ConfigurationError):
-        run_campaign(small_config(inject_fault=False), runs=5)
+        campaign_result(small_config(faults="none"), runs=5)
     with pytest.raises(ConfigurationError):
-        run_campaign(small_config(), runs=1)
+        campaign_result(small_config(), runs=1)
 
 
 def test_campaign_report_mentions_metrics():
-    result = run_campaign(small_config(), runs=3)
+    result = campaign_result(small_config(), runs=3)
     text = result.report()
     assert "recovery" in text
     assert "verified: True" in text
@@ -76,12 +80,12 @@ def test_campaign_report_mentions_metrics():
 
 def test_reinit_recovery_distribution_is_tight():
     """Reinit's recovery cost barely depends on where the failure lands."""
-    result = run_campaign(small_config(design="reinit-fti"), runs=6)
+    result = campaign_result(small_config(design="reinit-fti"), runs=6)
     assert result.recovery.std < 0.05 * result.recovery.mean
 
 
 def test_total_time_varies_with_failure_position():
     """Rework depends on how far past a checkpoint the failure hits, so
     total time must spread more than recovery does."""
-    result = run_campaign(small_config(design="reinit-fti"), runs=10)
+    result = campaign_result(small_config(design="reinit-fti"), runs=10)
     assert result.total.std > result.recovery.std

@@ -47,7 +47,7 @@ def test_config_defaults_match_paper():
     assert cfg.input_size == "small"   # default input problem
     assert cfg.fti.level == 1          # FTI L1 mode
     assert cfg.fti.ckpt_stride == 10   # every ten iterations
-    assert not cfg.inject_fault
+    assert not cfg.faults.injects      # clean runs by default
 
 
 def test_config_validation():
@@ -63,7 +63,7 @@ def test_config_validation():
 
 def test_config_label_and_seed():
     cfg = ExperimentConfig(app="amg", design="ulfm-fti", nprocs=256,
-                           inject_fault=True)
+                           faults="single")
     assert "amg" in cfg.label() and "256" in cfg.label()
     assert "fault" in cfg.label()
     assert cfg.with_seed(5).seed == 5
@@ -86,32 +86,32 @@ def test_scaling_matrix_covers_figure5():
     # 5 apps x 4 scales x 3 designs + lulesh x 2 scales x 3 designs
     assert len(cells) == 5 * 4 * 3 + 2 * 3
     assert all(c.input_size == "small" for c in cells)
-    assert not any(c.inject_fault for c in cells)
+    assert not any(c.faults.injects for c in cells)
 
 
 def test_input_matrix_covers_figure8():
-    cells = input_matrix(inject_fault=True)
+    cells = input_matrix(faults="single")
     assert len(cells) == 6 * 3 * 3
     assert all(c.nprocs == 64 for c in cells)
-    assert all(c.inject_fault for c in cells)
+    assert all(c.faults.kind == "single" for c in cells)
 
 
 # -- fault scenarios on configs ---------------------------------------------
-def test_inject_fault_normalises_to_single_scenario():
+def test_single_spec_normalises_to_single_scenario():
     from repro.faults import FaultScenario
 
     cfg = ExperimentConfig(app="hpccg", design="reinit-fti",
-                           inject_fault=True)
+                           faults="single")
     assert cfg.faults == FaultScenario.single()
     clean = ExperimentConfig(app="hpccg", design="reinit-fti")
     assert clean.faults == FaultScenario.none()
-    assert not clean.inject_fault
+    assert not clean.faults.injects
 
 
-def test_scenario_sets_inject_fault_flag():
+def test_scenario_injects():
     cfg = ExperimentConfig(app="hpccg", design="reinit-fti",
                            faults="poisson:10")
-    assert cfg.inject_fault
+    assert cfg.faults.injects
     assert cfg.faults.kind == "poisson"
 
 
@@ -126,32 +126,9 @@ def test_scenario_accepts_dict_and_spec_string():
     assert by_spec == by_dict
 
 
-def test_inject_fault_conflicts_with_none_scenario():
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(app="hpccg", design="reinit-fti",
-                         inject_fault=True, faults="none")
-
-
-def test_explicit_inject_fault_false_conflicts_with_scenario():
-    """An explicit inject_fault=False must not be silently overridden
-    by an injecting scenario — e.g. a 'clean baseline' built with
-    dataclasses.replace would otherwise still inject."""
-    import dataclasses
-
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(app="hpccg", design="reinit-fti",
-                         inject_fault=False, faults="poisson:10")
-    cfg = ExperimentConfig(app="hpccg", design="reinit-fti",
-                           inject_fault=True)
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(cfg, inject_fault=False)
-    # the supported way to strip injection rescopes the scenario too
-    assert not cfg.with_faults("none").inject_fault
-
-
 def test_scenario_labels_distinguish_cells():
     base = dict(app="hpccg", design="reinit-fti")
-    legacy = ExperimentConfig(inject_fault=True, **base)
+    legacy = ExperimentConfig(faults="single", **base)
     multi = ExperimentConfig(faults="independent:3", **base)
     assert legacy.label().endswith("/fault")  # the historical label
     assert "kx3" in multi.label()
@@ -237,42 +214,80 @@ def test_config_from_dict_rejects_malformed_scenario_dicts():
             config_from_dict(data)
 
 
+#: a schema-2 config payload as 1.x wrote it: the ``inject_fault`` bool
+#: next to the ``faults`` scenario, no ``interval``
+LEGACY_PAYLOAD = {
+    "app": "hpccg", "design": "reinit-fti", "nprocs": 8,
+    "input_size": "small", "inject_fault": True, "seed": 0, "nnodes": 4,
+    "fti": {"ckpt_stride": 10, "diff_block_bytes": 65536,
+            "differential": True, "group_size": 4, "keep_last": 1,
+            "level": 1, "use_ssd": False},
+    "faults": {"kind": "single", "count": 1, "node_count": 0,
+               "mtbf_iters": 0.0, "window": 0, "min_iteration": 1},
+}
+
+
 def test_config_from_dict_accepts_legacy_payload_without_faults():
     """Schema-1 payloads (no ``faults`` key) must still deserialize:
-    the scenario derives from ``inject_fault`` exactly as legacy
-    construction did."""
-    from repro.core.configs import config_from_dict, config_to_dict
+    the scenario derives from the legacy ``inject_fault`` key."""
+    from repro.core.configs import config_from_dict
     from repro.faults import FaultScenario
 
-    data = config_to_dict(ExperimentConfig(app="hpccg",
-                                           design="reinit-fti",
-                                           inject_fault=True))
+    data = dict(LEGACY_PAYLOAD)
     del data["faults"]
     rebuilt = config_from_dict(data)
     assert rebuilt.faults == FaultScenario.single()
-    assert rebuilt.inject_fault
+    data["inject_fault"] = False
+    assert config_from_dict(data).faults == FaultScenario.none()
 
 
 def test_config_from_dict_rejects_contradictory_legacy_flag():
-    from repro.core.configs import config_from_dict, config_to_dict
-    from repro.faults import FaultScenario
+    from repro.core.configs import config_from_dict
 
-    data = config_to_dict(ExperimentConfig(app="hpccg",
-                                           design="reinit-fti"))
-    data["inject_fault"] = True
-    data["faults"] = FaultScenario.none().to_dict()
+    data = dict(LEGACY_PAYLOAD)
+    data["faults"] = {"kind": "none"}
+    with pytest.raises(ConfigurationError, match="contradicts"):
+        config_from_dict(data)
+    data["inject_fault"] = False
+    data["faults"] = {"kind": "poisson", "mtbf_iters": 10.0}
     with pytest.raises(ConfigurationError, match="contradicts"):
         config_from_dict(data)
 
 
+def test_legacy_record_summarises_under_its_run_key():
+    """A record a 1.x sweep stored reads back through
+    campaign_results_from_records, and the config it rebuilds mints
+    the record's own (pinned) run key — so 2.0 resumes 1.x stores."""
+    from repro.core.campaign import campaign_results_from_records
+    from repro.core.configs import config_from_dict, config_to_dict, run_key
+
+    # the payload itself survives a load/dump cycle byte-identically
+    assert config_to_dict(config_from_dict(LEGACY_PAYLOAD)) \
+        == LEGACY_PAYLOAD
+
+    records = {}
+    for rep, key in enumerate(("149ec4c1350d77f1", "c361c7f6f6eb7c07")):
+        records[key] = {
+            "key": key, "rep": rep, "config": dict(LEGACY_PAYLOAD),
+            "result": {"config_label": "hpccg/REINIT-FTI/p8/small/fault",
+                       "breakdown": {"total_seconds": 1.0 + rep},
+                       "verified": True}}
+        assert run_key(config_from_dict(LEGACY_PAYLOAD), rep) == key
+    summaries = campaign_results_from_records(records)
+    assert list(summaries) == ["hpccg/REINIT-FTI/p8/small/fault"]
+    result = summaries["hpccg/REINIT-FTI/p8/small/fault"]
+    assert [r.breakdown.total_seconds for r in result.runs] == [1.0, 2.0]
+    assert result.all_verified
+
+
 def test_with_faults_returns_rescoped_copy():
     cfg = ExperimentConfig(app="hpccg", design="reinit-fti",
-                           inject_fault=True)
+                           faults="single")
     poisson = cfg.with_faults("poisson:7")
     assert poisson.faults.kind == "poisson"
     assert cfg.faults.kind == "single"  # frozen original
     clean = cfg.with_faults("none")
-    assert not clean.inject_fault
+    assert not clean.faults.injects
 
 
 # -- the canonical checkpoint-interval field --------------------------------

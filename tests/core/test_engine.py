@@ -10,11 +10,9 @@ import shutil
 
 import pytest
 
+from repro.api import Campaign, check_campaign
 from repro.core.breakdown import run_result_from_dict, run_result_to_dict
-from repro.core.campaign import (
-    campaign_results_from_records,
-    run_campaign_matrix,
-)
+from repro.core.campaign import campaign_results_from_records
 from repro.core.configs import (
     ExperimentConfig,
     campaign_matrix,
@@ -38,7 +36,7 @@ RUNS = 2
 
 def mini_config(**kwargs):
     defaults = dict(app="hpccg", design="reinit-fti", nprocs=8, nnodes=4,
-                    inject_fault=True)
+                    faults="single")
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
 
@@ -53,9 +51,9 @@ def mini_configs():
 def serial_sweep(mini_configs, tmp_path_factory):
     """Serial ground truth plus the store it wrote."""
     path = tmp_path_factory.mktemp("sweep") / "full.jsonl"
-    engine = CampaignEngine(jobs=1, store_path=str(path))
-    results = run_campaign_matrix(mini_configs, runs=RUNS, engine=engine)
-    return results, path
+    session = (Campaign.from_configs(mini_configs).reps(RUNS)
+               .store(str(path)).run())
+    return session.campaigns(), path
 
 
 def assert_bit_identical(left, right):
@@ -156,8 +154,9 @@ def test_run_result_round_trip_is_lossless():
 def test_parallel_matches_serial_bit_identical():
     """The acceptance matrix: 3 designs × 2 apps, --jobs N == --jobs 1."""
     configs = campaign_matrix(("minivite", "hpccg"), nprocs=8, nnodes=4)
-    serial = run_campaign_matrix(configs, runs=RUNS, jobs=1)
-    parallel = run_campaign_matrix(configs, runs=RUNS, jobs=4)
+    campaign = Campaign.from_configs(configs).reps(RUNS)
+    serial = campaign.jobs(1).run().campaigns()
+    parallel = campaign.jobs(4).run().campaigns()
     assert_bit_identical(serial, parallel)
 
 
@@ -171,18 +170,18 @@ def test_resume_after_kill(serial_sweep, mini_configs, tmp_path):
     killed = tmp_path / "killed.jsonl"
     killed.write_text("\n".join(lines[:3]) + "\n" + lines[3][:40] + "\n")
 
-    engine = CampaignEngine(jobs=1, store_path=str(killed), resume=True)
-    resumed = run_campaign_matrix(mini_configs, runs=RUNS, engine=engine)
-    assert engine.skipped == 3
-    assert engine.executed == len(lines) - 3
-    assert_bit_identical(full_results, resumed)
+    campaign = (Campaign.from_configs(mini_configs).reps(RUNS)
+                .store(str(killed)).resume())
+    session = campaign.run()
+    assert session.skipped == 3
+    assert session.executed == len(lines) - 3
+    assert_bit_identical(full_results, session.campaigns())
 
     # a second resume finds everything done and executes nothing
-    engine = CampaignEngine(jobs=1, store_path=str(killed), resume=True)
-    again = run_campaign_matrix(mini_configs, runs=RUNS, engine=engine)
-    assert engine.executed == 0
-    assert engine.skipped == len(lines)
-    assert_bit_identical(full_results, again)
+    again = campaign.run()
+    assert again.executed == 0
+    assert again.skipped == len(lines)
+    assert_bit_identical(full_results, again.campaigns())
 
 
 def test_resume_requires_store():
@@ -223,10 +222,10 @@ def test_resume_ignores_stale_records(serial_sweep, mini_configs, tmp_path):
              "result": {"config_label": "x", "breakdown": {},
                         "verified": True,
                         "fault_events": [[0, 3, "sigterm"]]}}) + "\n")
-    engine = CampaignEngine(jobs=1, store_path=str(store), resume=True)
-    run_campaign_matrix(other, runs=RUNS, engine=engine)
-    assert engine.skipped == 0
-    assert engine.executed == RUNS
+    session = (Campaign.from_configs(other).reps(RUNS).store(str(store))
+               .resume().run())
+    assert session.skipped == 0
+    assert session.executed == RUNS
 
 
 # -- shards + store merge ---------------------------------------------------
@@ -250,9 +249,8 @@ def test_shard_run_matches_serial_and_merge_covers(serial_sweep,
         shard_paths.append(shard_path)
 
     shard2_path = tmp_path / "shard2.jsonl"
-    engine = CampaignEngine(jobs=1, store_path=str(shard2_path),
-                            shard="2/3")
-    run_campaign_matrix(mini_configs, runs=RUNS, engine=engine)
+    (Campaign.from_configs(mini_configs).reps(RUNS)
+     .store(str(shard2_path)).shard("2/3").run())
     expected_keys = {u.key for u in shard_units(units, 2, 3)}
     shard2_records = ResultStore(shard2_path).load_completed()
     assert set(shard2_records) == expected_keys
@@ -269,18 +267,12 @@ def test_results_from_records_rejects_empty():
         campaign_results_from_records({})
 
 
-def test_matrix_rejects_engine_plus_execution_kwargs():
-    engine = CampaignEngine(jobs=1)
-    with pytest.raises(ConfigurationError, match="not both"):
-        run_campaign_matrix([mini_config()], runs=2, jobs=4, engine=engine)
-
-
 def test_matrix_rejects_label_collisions():
     """label() omits seed: two configs differing only there must not
     silently collapse into one summary."""
     configs = [mini_config(), mini_config(seed=1)]
     with pytest.raises(ConfigurationError, match="duplicate labels"):
-        run_campaign_matrix(configs, runs=2)
+        check_campaign(configs, runs=2)
 
 
 def fake_record(config, rep):

@@ -47,7 +47,7 @@ from repro.errors import (
 
 def mini_config(**kwargs):
     defaults = dict(app="hpccg", design="reinit-fti", nprocs=8, nnodes=4,
-                    inject_fault=True)
+                    faults="single")
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
 
@@ -385,7 +385,7 @@ def test_timeout_kills_hung_worker_and_retry_succeeds(tmp_path,
         "rules": [{"mode": "hang", "match": "*", "times": 1,
                    "hang_seconds": 120}],
     }))
-    unit = RunUnit(mini_config(app="minivite", inject_fault=False), 0)
+    unit = RunUnit(mini_config(app="minivite", faults="none"), 0)
     expected = execute_unit(unit)
     engine = CampaignEngine(jobs=1, timeout=5.0, retries=1,
                             backoff_base=0.01)
@@ -417,7 +417,7 @@ def test_parallel_sigterm_drains_and_aborts(tmp_path):
         "def main():\n"
         "    config = ExperimentConfig(app='minivite', design='reinit-fti',\n"
         "                              nprocs=8, nnodes=4,\n"
-        "                              inject_fault=True)\n"
+        "                              faults='single')\n"
         "    units = campaign_units([config], runs=4)\n"
         "    engine = CampaignEngine(jobs=2, store_path=%r)\n"
         "    aborted = False\n"

@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.api import run_averaged, run_single
 from repro.core.configs import ExperimentConfig
-from repro.core.harness import (
-    build_cluster,
-    make_fault_plan,
-    run_experiment,
-    run_experiment_averaged,
-)
+from repro.core.harness import build_cluster, make_fault_plan
 
 
 def small_config(**kwargs):
@@ -29,66 +25,66 @@ def test_fault_plan_empty_without_injection():
 
 
 def test_fault_plan_differs_per_repetition():
-    cfg = small_config(inject_fault=True)
+    cfg = small_config(faults="single")
     app = cfg.make_app()
     plans = {make_fault_plan(cfg, app, rep=r).events for r in range(8)}
     assert len(plans) > 1
 
 
 def test_fault_plan_deterministic_for_same_rep():
-    cfg = small_config(inject_fault=True, seed=3)
+    cfg = small_config(faults="single", seed=3)
     app = cfg.make_app()
     assert (make_fault_plan(cfg, app, 2).events
             == make_fault_plan(cfg, app, 2).events)
 
 
-def test_run_experiment_single():
-    result = run_experiment(small_config())
+def test_run_single():
+    result = run_single(small_config())
     assert result.verified
     assert result.breakdown.total_seconds > 0
 
 
 def test_no_fault_averaging_collapses_to_one_run():
-    avg = run_experiment_averaged(small_config())
+    avg = run_averaged(small_config())
     assert avg.repetitions == 1
     assert len(avg.runs) == 1
 
 
 def test_fault_averaging_uses_five_reps_by_default():
-    avg = run_experiment_averaged(small_config(inject_fault=True))
+    avg = run_averaged(small_config(faults="single"))
     assert avg.repetitions == 5
     assert len(avg.runs) == 5
     assert avg.verified
 
 
 def test_explicit_repetitions_respected():
-    avg = run_experiment_averaged(small_config(inject_fault=True),
-                                  repetitions=2)
+    avg = run_averaged(small_config(faults="single"),
+                       repetitions=2)
     assert avg.repetitions == 2
 
 
 def test_average_breakdown_within_run_range():
-    avg = run_experiment_averaged(small_config(inject_fault=True),
-                                  repetitions=3)
+    avg = run_averaged(small_config(faults="single"),
+                       repetitions=3)
     totals = [r.breakdown.total_seconds for r in avg.runs]
     assert min(totals) <= avg.breakdown.total_seconds <= max(totals)
 
 
 def test_experiment_is_reproducible():
-    a = run_experiment(small_config(inject_fault=True, seed=7))
-    b = run_experiment(small_config(inject_fault=True, seed=7))
+    a = run_single(small_config(faults="single", seed=7))
+    b = run_single(small_config(faults="single", seed=7))
     assert a.breakdown.total_seconds == b.breakdown.total_seconds
     assert a.fault_events == b.fault_events
 
 
 def test_single_run_is_repetition_zero():
-    """Regression: run_experiment once built RunUnit(config,
+    """Regression: the 1.x single-run path once built RunUnit(config,
     rep=config.seed), so a seeded single run silently used the wrong
     repetition index. A single run is repetition 0 by definition and
     must be bit-identical to a one-repetition averaged run."""
-    cfg = small_config(inject_fault=True, seed=9)
-    single = run_experiment(cfg)
-    averaged = run_experiment_averaged(cfg, repetitions=1)
+    cfg = small_config(faults="single", seed=9)
+    single = run_single(cfg)
+    averaged = run_averaged(cfg, repetitions=1)
     assert single == averaged.runs[0]
     # the old bug: rep=seed drew a different fault location
     assert single.fault_events == averaged.runs[0].fault_events

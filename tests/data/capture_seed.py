@@ -11,7 +11,7 @@ safety net for any scheduler, matching-path or fault-model rewrite.
 
 Each JSON entry stores the full canonical config dict next to its
 outcome, so the pinned matrix can cover arbitrary fault scenarios (the
-legacy ``inject_fault`` singles *and* multi-fault scenario configs)
+paper-era single kills *and* multi-fault scenario configs)
 without the test hard-coding constructor arguments.
 """
 
@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.api import run_single
 from repro.core.breakdown import result_fingerprint
 from repro.core.configs import ExperimentConfig, config_to_dict
-from repro.core.harness import run_experiment
 from repro.fti.config import FtiConfig
 
 HERE = pathlib.Path(__file__).parent
@@ -32,21 +32,21 @@ HERE = pathlib.Path(__file__).parent
 PINNED = [
     # the paper-era single-kill matrix: these draws must never change
     dict(app="hpccg", design="restart-fti", nprocs=64, seed=7,
-         inject_fault=False),
+         faults="none"),
     dict(app="hpccg", design="reinit-fti", nprocs=64, seed=7,
-         inject_fault=False),
+         faults="none"),
     dict(app="hpccg", design="ulfm-fti", nprocs=64, seed=7,
-         inject_fault=False),
+         faults="none"),
     dict(app="hpccg", design="restart-fti", nprocs=64, seed=7,
-         inject_fault=True),
+         faults="single"),
     dict(app="hpccg", design="reinit-fti", nprocs=64, seed=7,
-         inject_fault=True),
+         faults="single"),
     dict(app="hpccg", design="ulfm-fti", nprocs=64, seed=7,
-         inject_fault=True),
+         faults="single"),
     dict(app="minife", design="ulfm-fti", nprocs=64, seed=7,
-         inject_fault=True),
+         faults="single"),
     dict(app="minivite", design="reinit-fti", nprocs=64, seed=7,
-         inject_fault=True),
+         faults="single"),
     # multi-fault scenarios (the ISSUE 3 acceptance shapes)
     dict(app="hpccg", design="ulfm-fti", nprocs=64, seed=7,
          faults="independent:3:node=1", fti=FtiConfig(level=2)),
@@ -61,7 +61,7 @@ PINNED = [
 
 
 def outcome_of(config: ExperimentConfig) -> dict:
-    return result_fingerprint(run_experiment(config))
+    return result_fingerprint(run_single(config))
 
 
 def main() -> None:

@@ -70,8 +70,7 @@ class TestGuardIntegration:
         historically burn the watchdog; the guard converts it into a
         LivelockError naming the repeating phase."""
         from repro.core.configs import ExperimentConfig
-        from repro.core.designs import DESIGNS
-        from repro.core.harness import build_cluster
+        from repro.core.engine import run_config
         from repro.faults.plans import TimedFault, TimedFaultPlan
 
         class EndlessKill(TimedFaultPlan):
@@ -83,10 +82,8 @@ class TestGuardIntegration:
         config = ExperimentConfig(app="hpccg", nprocs=8,
                                   design="ulfm-fti", faults="none")
         plan = EndlessKill(phase_hook=ProgressGuard(limit=6))
-        design = DESIGNS[config.design](build_cluster(config))
         with pytest.raises(LivelockError) as err:
-            design.run_job(config.make_app(), config.fti, plan,
-                           label="livelock")
+            run_config(config, plan, "livelock")
         assert "ulfm.revoke" in err.value.cycle
 
     def test_error_record_resurrects(self):

@@ -13,8 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.configs import ExperimentConfig
-from repro.core.designs import DESIGNS
-from repro.core.harness import build_cluster
+from repro.core.engine import run_config
 from repro.explore.timeline import PhaseRecorder, probe_timeline
 from repro.faults.plans import TimedFault, TimedFaultPlan
 from repro.simmpi.runtime import Runtime
@@ -37,9 +36,7 @@ def _run_with_kill_trace(config, plan):
 
     Runtime.kill = traced
     try:
-        design = DESIGNS[config.design](build_cluster(config))
-        result = design.run_job(config.make_app(), config.fti, plan,
-                                label="trace")
+        result = run_config(config, plan, "trace")
     finally:
         Runtime.kill = original
     return result, kills
@@ -101,9 +98,7 @@ class TestSecondEventInsideRepair:
         def makespan(second_time):
             plan = TimedFaultPlan(events=(
                 first, TimedFault(time=second_time, rank=4)))
-            design = DESIGNS[config.design](build_cluster(config))
-            result = design.run_job(config.make_app(), config.fti, plan,
-                                    label="placement")
+            result = run_config(config, plan, "placement")
             assert result.verified
             return result.breakdown.total_seconds
 

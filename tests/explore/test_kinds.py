@@ -84,7 +84,7 @@ class TestRunKeyStability:
         # the schedule field serializes only when non-default, so every
         # pre-existing run key survives the field's addition
         config = ExperimentConfig(app="hpccg", nprocs=8,
-                                  design="ulfm-fti", inject_fault=True)
+                                  design="ulfm-fti", faults="single")
         faults = config_to_dict(config)["faults"]
         assert "schedule" not in faults
         assert set(faults) == {"kind", "count", "node_count",

@@ -12,16 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.configs import ExperimentConfig
-from repro.core.designs import DESIGNS
-from repro.core.engine import RunUnit, execute_unit
-from repro.core.harness import build_cluster
+from repro.core.engine import RunUnit, execute_unit, run_config
 from repro.explore.timeline import probe_timeline
 from repro.faults.plans import TimedFault, TimedFaultPlan
-
-
-def _run(config, plan, label):
-    design = DESIGNS[config.design](build_cluster(config))
-    return design.run_job(config.make_app(), config.fti, plan, label=label)
 
 
 class TestUlfmMidRepair:
@@ -101,7 +94,7 @@ class TestRestartMidRedeploy:
             TimedFault(time=2.0, rank=3, epoch=0),
             TimedFault(time=0.5, rank=5, epoch=1),
         ))
-        result = _run(config, plan, "restart-twice")
+        result = run_config(config, plan, "restart-twice")
         assert result.verified
         assert result.relaunches == 2
         assert result.recovery_episodes == 2
@@ -115,6 +108,6 @@ class TestRestartMidRedeploy:
             TimedFault(time=2.0, rank=3, epoch=0),
             TimedFault(time=0.5, rank=5, epoch=1),
         ))
-        _run(config, plan, "epoch-order")
+        run_config(config, plan, "epoch-order")
         epochs = [entry[0] for entry in plan.fired_log]
         assert epochs == sorted(epochs) == [0, 1]

@@ -118,12 +118,12 @@ def test_three_fault_scenario_with_node_failure_at_64_ranks(design_name):
     """ISSUE 3 acceptance: each design completes and verifies a 3-fault
     independent scenario including one whole-node failure at 64 ranks."""
     from repro.core.configs import ExperimentConfig
-    from repro.core.harness import run_experiment
+    from repro.api import run_single
 
     cfg = ExperimentConfig(app="hpccg", design=design_name, nprocs=64,
                            seed=5, faults="independent:3:node=1",
                            fti=FtiConfig(level=2))
-    result = run_experiment(cfg)
+    result = run_single(cfg)
     assert result.verified
     assert len(result.fault_events) == 3
     assert sum(1 for e in result.fault_events if e.kind == "node") == 1
@@ -133,9 +133,9 @@ def test_three_fault_scenario_with_node_failure_at_64_ranks(design_name):
 @pytest.mark.parametrize("design_name", sorted(DESIGNS))
 def test_poisson_scenario_end_to_end(design_name):
     from repro.core.configs import ExperimentConfig
-    from repro.core.harness import run_experiment
+    from repro.api import run_single
 
     cfg = ExperimentConfig(app="minivite", design=design_name, nprocs=8,
                            nnodes=4, seed=4, faults="poisson:10")
-    result = run_experiment(cfg)
+    result = run_single(cfg)
     assert result.verified

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.breakdown import result_fingerprint
 from repro.core.configs import ExperimentConfig, config_from_dict
-from repro.core.harness import run_experiment
+from repro.api import run_single
 
 SEED_FILE = pathlib.Path(__file__).parent / "data" / "determinism_seed.json"
 
@@ -32,14 +32,14 @@ SEED_FILE = pathlib.Path(__file__).parent / "data" / "determinism_seed.json"
 def _outcome(config: ExperimentConfig) -> dict:
     # the same fingerprint builder the capture script records with, so
     # the two sides cannot drift apart field-by-field
-    return result_fingerprint(run_experiment(config))
+    return result_fingerprint(run_single(config))
 
 
-@pytest.mark.parametrize("inject_fault", [False, True],
+@pytest.mark.parametrize("faults", ["none", "single"],
                          ids=["nofault", "fault"])
-def test_identical_config_runs_twice_identically(inject_fault):
+def test_identical_config_runs_twice_identically(faults):
     config = ExperimentConfig(app="hpccg", design="ulfm-fti", nprocs=64,
-                              seed=3, inject_fault=inject_fault)
+                              seed=3, faults=faults)
     assert _outcome(config) == _outcome(config)
 
 

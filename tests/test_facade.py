@@ -59,7 +59,7 @@ def test_builder_defaults_match_paper():
     assert config.nprocs == 64
     assert config.input_size == "small"
     assert config.nnodes == 32
-    assert not config.inject_fault
+    assert not config.faults.injects
 
 
 def test_builder_designs_default_to_all_three():
@@ -327,31 +327,6 @@ def test_run_averaged_matches_legacy_semantics():
     assert run_averaged(small_config()).repetitions == 1  # deterministic
 
 
-def test_legacy_entry_points_are_warning_shims():
-    from repro.core.harness import run_experiment, run_experiment_averaged
-
-    config = small_config(faults="single", seed=4)
-    with pytest.warns(DeprecationWarning, match="run_experiment"):
-        legacy = run_experiment(config)
-    assert legacy == run_single(config)
-    with pytest.warns(DeprecationWarning):
-        legacy_avg = run_experiment_averaged(config, repetitions=2)
-    assert legacy_avg.runs == run_averaged(config, 2).runs
-    assert legacy_avg.breakdown == run_averaged(config, 2).breakdown
-
-
-def test_legacy_campaign_matrix_is_a_shim():
-    from repro.core.campaign import run_campaign_matrix
-
-    configs = [small_config(faults="single")]
-    with pytest.warns(DeprecationWarning, match="run_campaign_matrix"):
-        legacy = run_campaign_matrix(configs, runs=2)
-    modern = Campaign.from_configs(configs).reps(2).run().campaigns()
-    assert list(legacy) == list(modern)
-    for label in legacy:
-        assert legacy[label].report() == modern[label].report()
-
-
 def test_session_campaigns_rejects_label_collisions():
     """label() omits seed: two configs differing only there must not
     silently collapse into one summary row."""
@@ -499,7 +474,7 @@ def test_custom_scenario_spec_and_config_round_trip(toy_extensions):
     assert scenario.label() == "firstrank3"
     config = ExperimentConfig(app="toyapp", design="reinit-fti", nprocs=8,
                               nnodes=4, faults="firstrank:3")
-    assert config.inject_fault
+    assert config.faults.injects
     assert config_from_dict(config_to_dict(config)) == config
 
 

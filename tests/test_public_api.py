@@ -25,8 +25,19 @@ REPRO_EXPORTS = [
     "TABLE1",
     "__version__",
     "register",
-    "run_experiment",
-    "run_experiment_averaged",
+]
+
+#: 1.x names removed in 2.0 (docs/API.md maps each to its replacement):
+#: ``(module, name)`` pairs that must stay gone
+REMOVED_IN_2_0 = [
+    ("repro", "run_experiment"),
+    ("repro", "run_experiment_averaged"),
+    ("repro.core", "run_experiment"),
+    ("repro.core", "run_experiment_averaged"),
+    ("repro.core.harness", "run_experiment"),
+    ("repro.core.harness", "run_experiment_averaged"),
+    ("repro.core.campaign", "run_campaign"),
+    ("repro.core.campaign", "run_campaign_matrix"),
 ]
 
 #: the pinned facade surface (sorted)
@@ -104,10 +115,30 @@ def test_lazy_loading_does_not_leak_private_names():
         repro.no_such_name
 
 
+def test_removed_1x_names_stay_gone():
+    import importlib
+
+    import pytest
+
+    for module_name, name in REMOVED_IN_2_0:
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, name), (module_name, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.scr")
+    # the Session engine= override went with the campaign shims
+    with pytest.raises(TypeError):
+        repro.api.Campaign().apps("hpccg").session(engine=None)
+    # faults="single" replaced the inject_fault config field
+    with pytest.raises(TypeError):
+        repro.ExperimentConfig(app="hpccg", design="reinit-fti",
+                               inject_fault=True)
+
+
 def test_version_is_a_pep440_string():
     parts = repro.__version__.split(".")
     assert len(parts) >= 2
     assert all(p.isdigit() for p in parts[:2])
+    assert parts[0] == "2"  # 2.0 removed the 1.x legacy surfaces
 
 
 def test_cli_entry_point_importable():
